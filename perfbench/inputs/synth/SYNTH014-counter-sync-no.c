@@ -1,0 +1,13 @@
+#include <stdio.h>
+int main()
+{
+  int k;
+  int tally = 0;
+#pragma omp parallel for
+  for (k = 0; k < 31; k++) {
+    #pragma omp atomic
+    tally += 1;
+  }
+  printf("%d\n", tally);
+  return 0;
+}

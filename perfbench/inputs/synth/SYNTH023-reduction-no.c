@@ -1,0 +1,14 @@
+#include <stdio.h>
+int main()
+{
+  int i;
+  int tally = 0;
+  int vec[104];
+  for (i = 0; i < 104; i++)
+    vec[i] = i % 13;
+#pragma omp parallel for reduction(+:tally)
+  for (i = 0; i < 104; i++)
+    tally = tally + vec[i];
+  printf("%d\n", tally);
+  return 0;
+}

@@ -1,0 +1,12 @@
+#include <stdio.h>
+int main()
+{
+  int k;
+  int summ = 0;
+#pragma omp parallel for
+  for (k = 0; k < 85; k++) {
+    summ += 1;
+  }
+  printf("%d\n", summ);
+  return 0;
+}

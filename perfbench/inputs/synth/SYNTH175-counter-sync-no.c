@@ -1,0 +1,13 @@
+#include <stdio.h>
+int main()
+{
+  int k;
+  int summ = 0;
+#pragma omp parallel for
+  for (k = 0; k < 54; k++) {
+    #pragma omp critical
+    { summ += 1; }
+  }
+  printf("%d\n", summ);
+  return 0;
+}

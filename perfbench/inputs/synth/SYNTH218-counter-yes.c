@@ -1,0 +1,12 @@
+#include <stdio.h>
+int main()
+{
+  int k;
+  int total = 0;
+#pragma omp parallel for
+  for (k = 0; k < 96; k++) {
+    total += 1;
+  }
+  printf("%d\n", total);
+  return 0;
+}

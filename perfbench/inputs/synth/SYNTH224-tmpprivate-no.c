@@ -1,0 +1,16 @@
+#include <stdio.h>
+int main()
+{
+  int k;
+  int scratch = 0;
+  int wk[77];
+  for (k = 0; k < 77; k++)
+    wk[k] = k;
+#pragma omp parallel for private(scratch)
+  for (k = 0; k < 77; k++) {
+    scratch = wk[k] + 1;
+    wk[k] = scratch * 2;
+  }
+  printf("%d\n", wk[1]);
+  return 0;
+}

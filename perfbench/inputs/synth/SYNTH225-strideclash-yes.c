@@ -1,0 +1,13 @@
+#include <stdio.h>
+int main()
+{
+  int i;
+  int wk[102];
+  for (i = 0; i < 102; i++)
+    wk[i] = i;
+#pragma omp parallel for
+  for (i = 0; i < 49; i++)
+    wk[2*i] = wk[2*i+2] + 1;
+  printf("%d\n", wk[0]);
+  return 0;
+}

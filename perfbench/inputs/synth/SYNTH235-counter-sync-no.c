@@ -1,0 +1,13 @@
+#include <stdio.h>
+int main()
+{
+  int i;
+  int acc = 0;
+#pragma omp parallel for
+  for (i = 0; i < 92; i++) {
+    #pragma omp critical
+    { acc += 1; }
+  }
+  printf("%d\n", acc);
+  return 0;
+}

@@ -1,0 +1,13 @@
+#include <stdio.h>
+int main()
+{
+  int it;
+  int buf[160];
+  for (it = 0; it < 160; it++)
+    buf[it] = it;
+#pragma omp parallel for
+  for (it = 0; it < 78; it++)
+    buf[2*it] = buf[2*it+2] + 1;
+  printf("%d\n", buf[0]);
+  return 0;
+}

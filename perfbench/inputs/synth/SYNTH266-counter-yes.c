@@ -1,0 +1,12 @@
+#include <stdio.h>
+int main()
+{
+  int it;
+  int tally = 0;
+#pragma omp parallel for
+  for (it = 0; it < 65; it++) {
+    tally += 1;
+  }
+  printf("%d\n", tally);
+  return 0;
+}

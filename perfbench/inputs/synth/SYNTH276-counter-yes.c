@@ -1,0 +1,12 @@
+#include <stdio.h>
+int main()
+{
+  int idx0;
+  int agg = 0;
+#pragma omp parallel for
+  for (idx0 = 0; idx0 < 33; idx0++) {
+    agg += 1;
+  }
+  printf("%d\n", agg);
+  return 0;
+}

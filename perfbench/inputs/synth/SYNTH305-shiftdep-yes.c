@@ -1,0 +1,13 @@
+#include <stdio.h>
+int main()
+{
+  int it;
+  int buf[161];
+  for (it = 0; it < 161; it++)
+    buf[it] = it;
+#pragma omp parallel for
+  for (it = 0; it < 153; it++)
+    buf[it] = buf[it+8] + 1;
+  printf("%d\n", buf[0]);
+  return 0;
+}

@@ -1,0 +1,13 @@
+#include <stdio.h>
+int main()
+{
+  int k;
+  int wk[131];
+  for (k = 0; k < 131; k++)
+    wk[k] = k;
+#pragma omp parallel for
+  for (k = 0; k < 125; k++)
+    wk[k] = wk[k+6] + 1;
+  printf("%d\n", wk[0]);
+  return 0;
+}

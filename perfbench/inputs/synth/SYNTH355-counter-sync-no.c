@@ -1,0 +1,13 @@
+#include <stdio.h>
+int main()
+{
+  int it;
+  int summ = 0;
+#pragma omp parallel for
+  for (it = 0; it < 86; it++) {
+    #pragma omp critical
+    { summ += 1; }
+  }
+  printf("%d\n", summ);
+  return 0;
+}
