@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the race-check-the-race-checkers pass.
 #
-#   scripts/check.sh            full suite + TSan parallel suite
-#   scripts/check.sh --fast     full suite only (skip the TSan build)
+#   scripts/check.sh            full suite + TSan and ASan suites
+#   scripts/check.sh --fast     full suite only (skip the sanitizer builds)
 #
 # Stage 1 is the repository's tier-1 gate: configure, build, run every
 # test. Stage 2 is the self-lint gate: the OpenMP correctness linter
@@ -16,7 +16,10 @@
 # Stage 2c is the docs gate: the generated span/metric catalog sections
 # in docs/OBSERVABILITY.md must match the code (gen_obs_docs --check),
 # and every relative link and #anchor in the top-level and docs/
-# markdown must resolve (gen_obs_docs --check-links). Stage 2d is the
+# markdown must resolve (gen_obs_docs --check-links, which also checks
+# that backticked repository paths exist), and a full `drbml stats
+# --trace` must be strict UTF-8 JSON (no dangling span detail). Stage 2d
+# is the
 # exploration gate: at equal schedule budget PCT must match or beat the
 # uniform walk on detected races over the race-labeled corpus with at
 # least one PCT-only entry, and every reported race must ship a
@@ -39,7 +42,11 @@
 # `parallel`-labelled suites -- the thread pool, the memoized artifact
 # caches, the parallel experiment executor, the lint and repair
 # fan-outs, and the observability layer -- so the infrastructure this
-# repo uses to find data races is itself checked for data races.
+# repo uses to find data races is itself checked for data races. Stage
+# 4 rebuilds under AddressSanitizer (-DDRBML_SANITIZE=address) and runs
+# the explore, repair, front-end, serve, obs and fuzz suites: schedule
+# exploration unwinds exceptions on fiber stacks, which ASan follows
+# because the fiber switch announces every stack change to it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,6 +69,12 @@ echo "== stage 2c: docs gate (generated catalog + link check) =="
 build/tools/gen_obs_docs --check
 build/tools/gen_obs_docs --check-links \
   README.md DESIGN.md EXPERIMENTS.md ROADMAP.md docs/*.md
+trace_tmp=$(mktemp -d)
+build/tools/drbml stats --jobs 2 --trace "$trace_tmp/stats.json" >/dev/null
+python3 -c 'import json, sys; json.load(open(sys.argv[1], encoding="utf-8"))' \
+  "$trace_tmp/stats.json"
+echo "stats trace: strict JSON"
+rm -rf "$trace_tmp"
 
 echo "== stage 2d: exploration gate (PCT vs uniform + witness replay) =="
 build/tools/drbml explore --corpus --check --budget 12 | tail -n 1
@@ -141,7 +154,7 @@ echo "== stage 2g: bytecode-VM differential gate =="
 build/bench/bench_vm --out BENCH_vm.json --min-speedup 5 | tail -n 2
 
 if [[ "${1:-}" == "--fast" ]]; then
-  echo "== skipping TSan stage (--fast) =="
+  echo "== skipping the TSan and ASan stages (--fast) =="
   exit 0
 fi
 
@@ -152,4 +165,15 @@ cmake --build build-tsan -j --target \
   explore_test metamorphic_test lint_test repair_test obs_test \
   vm_differential_test
 (cd build-tsan && ctest -L parallel --output-on-failure)
+
+echo "== stage 4: AddressSanitizer build of the fiber-heavy suites =="
+cmake -B build-asan -S . -DDRBML_SANITIZE=address >/dev/null
+asan_suites=(explore_test repair_test front_end_test serve_test obs_test
+             fuzz_test)
+cmake --build build-asan -j --target "${asan_suites[@]}" drbml_cli
+# Each binary runs from its own build directory (front_end_test writes
+# its fingerprints there); any ASan report aborts with a non-zero status.
+for suite in "${asan_suites[@]}"; do
+  (cd build-asan/tests && "./$suite" --gtest_brief=1)
+done
 echo "== all checks passed =="

@@ -122,6 +122,9 @@ struct CollectOptions {
   /// with unknown subscripts. When false, call side effects are ignored
   /// (a deliberate unsoundness shared by many static tools).
   bool track_call_effects = false;
+
+  friend bool operator==(const CollectOptions&,
+                         const CollectOptions&) = default;
 };
 
 /// Collects all parallel regions in the unit. The unit must have been

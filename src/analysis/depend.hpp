@@ -41,6 +41,8 @@ struct DependOptions {
   /// + C; ...)`) into subscripts instead of widening them to infinity.
   /// Only effective together with model_thread_id.
   bool symbolic_bounds = true;
+
+  friend bool operator==(const DependOptions&, const DependOptions&) = default;
 };
 
 /// The decision plus the test that produced it, for evidence chains.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/lockset.hpp"
-#include "minic/parser.hpp"
 #include "obs/catalog.hpp"
 #include "obs/obs.hpp"
 #include "support/strings.hpp"
@@ -146,13 +145,10 @@ bool StaticRaceDetector::judge_pair(const AccessInfo& a, const AccessInfo& b,
   return true;
 }
 
-RaceReport StaticRaceDetector::analyze_unit(TranslationUnit& unit) const {
+RaceReport StaticRaceDetector::judge(
+    const std::vector<ParallelRegion>& regions) const {
   static obs::Counter& candidates =
       obs::metrics().counter(obs::kAnalysisCandidatePairs);
-
-  Resolution res = resolve(unit);
-  std::vector<ParallelRegion> regions =
-      collect_regions(unit, res, opts_.collect);
 
   RaceReport report;
   // Distinct pairs dropped at the caps (kept separately so the suppressed
@@ -232,9 +228,17 @@ RaceReport StaticRaceDetector::analyze_unit(TranslationUnit& unit) const {
   return report;
 }
 
+RaceReport StaticRaceDetector::analyze(const FrontEnd& fe) const {
+  return judge(fe.regions(opts_.collect));
+}
+
+RaceReport StaticRaceDetector::analyze_unit(TranslationUnit& unit) const {
+  const Resolution res = resolve(unit);
+  return judge(collect_regions(unit, res, opts_.collect));
+}
+
 RaceReport StaticRaceDetector::analyze_source(std::string_view source) const {
-  Program prog = parse_program(source);
-  return analyze_unit(*prog.unit);
+  return analyze(FrontEnd(source));
 }
 
 }  // namespace drbml::analysis

@@ -14,6 +14,7 @@
 
 #include "analysis/access.hpp"
 #include "analysis/depend.hpp"
+#include "analysis/front_end.hpp"
 #include "analysis/mhp.hpp"
 #include "analysis/report.hpp"
 #include "minic/ast.hpp"
@@ -37,6 +38,9 @@ struct StaticDetectorOptions {
   /// Cap on recorded discharged pairs (the overflow is counted in
   /// RaceReport::suppressed_discharged).
   int max_discharged = 32;
+
+  friend bool operator==(const StaticDetectorOptions&,
+                         const StaticDetectorOptions&) = default;
 };
 
 class StaticRaceDetector {
@@ -44,10 +48,13 @@ class StaticRaceDetector {
   explicit StaticRaceDetector(StaticDetectorOptions opts = {})
       : opts_(opts) {}
 
-  /// Analyzes a resolved translation unit.
+  /// Judges the front end's regions (collected under these options).
+  [[nodiscard]] RaceReport analyze(const FrontEnd& fe) const;
+
+  /// Resolves (idempotent), collects and judges a bare translation unit.
   [[nodiscard]] RaceReport analyze_unit(minic::TranslationUnit& unit) const;
 
-  /// Convenience: parse + resolve + analyze source text.
+  /// Convenience: analyze(FrontEnd(source)).
   [[nodiscard]] RaceReport analyze_source(std::string_view source) const;
 
   [[nodiscard]] const StaticDetectorOptions& options() const noexcept {
@@ -55,6 +62,10 @@ class StaticRaceDetector {
   }
 
  private:
+  /// Judges every candidate pair of the collected regions.
+  [[nodiscard]] RaceReport judge(
+      const std::vector<ParallelRegion>& regions) const;
+
   /// Runs the discharge pipeline (serial region -> MHP ordering ->
   /// lockset -> dependence test) over one candidate pair, recording every
   /// consulted rule in `ev`. Returns true when the pair survives as a

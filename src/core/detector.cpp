@@ -16,17 +16,29 @@ namespace drbml::core {
 
 namespace {
 
+RaceVerdict static_verdict(const analysis::FrontEnd& fe) {
+  analysis::RaceReport report = analysis::StaticRaceDetector().analyze(fe);
+  RaceVerdict v;
+  v.race = report.race_detected;
+  v.pairs = std::move(report.pairs);
+  v.discharged = std::move(report.discharged);
+  v.diagnostics = std::move(report.diagnostics);
+  return v;
+}
+
+RaceVerdict dynamic_verdict(const analysis::FrontEnd& fe) {
+  analysis::RaceReport report = runtime::DynamicRaceDetector().analyze(fe);
+  RaceVerdict v;
+  v.race = report.race_detected;
+  v.pairs = std::move(report.pairs);
+  v.diagnostics = std::move(report.diagnostics);
+  return v;
+}
+
 class StaticTool final : public RaceDetector {
  public:
   RaceVerdict analyze(const std::string& code) const override {
-    analysis::StaticRaceDetector detector;
-    analysis::RaceReport report = detector.analyze_source(code);
-    RaceVerdict v;
-    v.race = report.race_detected;
-    v.pairs = std::move(report.pairs);
-    v.discharged = std::move(report.discharged);
-    v.diagnostics = std::move(report.diagnostics);
-    return v;
+    return static_verdict(analysis::FrontEnd(code));
   }
   std::string name() const override { return "static"; }
 };
@@ -34,13 +46,7 @@ class StaticTool final : public RaceDetector {
 class DynamicTool final : public RaceDetector {
  public:
   RaceVerdict analyze(const std::string& code) const override {
-    runtime::DynamicRaceDetector detector;
-    analysis::RaceReport report = detector.analyze_source(code);
-    RaceVerdict v;
-    v.race = report.race_detected;
-    v.pairs = std::move(report.pairs);
-    v.diagnostics = std::move(report.diagnostics);
-    return v;
+    return dynamic_verdict(analysis::FrontEnd(code));
   }
   std::string name() const override { return "dynamic"; }
 };
@@ -48,10 +54,10 @@ class DynamicTool final : public RaceDetector {
 class HybridTool final : public RaceDetector {
  public:
   RaceVerdict analyze(const std::string& code) const override {
-    StaticTool st;
-    RaceVerdict v = st.analyze(code);
-    DynamicTool dy;
-    RaceVerdict d = dy.analyze(code);
+    // One front end for both halves.
+    const analysis::FrontEnd fe(code);
+    RaceVerdict v = static_verdict(fe);
+    RaceVerdict d = dynamic_verdict(fe);
     v.race = v.race || d.race;
     for (auto& p : d.pairs) {
       bool dup = false;

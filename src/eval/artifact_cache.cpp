@@ -251,18 +251,51 @@ const explore::ExploreResult& ArtifactCache::explore_result(
   return v;
 }
 
+template <typename Value, typename CostFn>
+const Value* ArtifactCache::find_resident(const support::OnceMap<Value>& map,
+                                          Kind kind, std::uint64_t key,
+                                          obs::Counter& probes,
+                                          CostFn&& cost) {
+  const Value* v = map.find(key);
+  if (v != nullptr) {
+    probes.add();
+    touch(kind, key, cost(*v));
+  }
+  return v;
+}
+
 const repair::RepairResult& ArtifactCache::repair_result(
     const std::string& code, const repair::RepairOptions& opts) {
   static obs::Counter& probes = obs::metrics().counter(obs::kCacheRepairProbe);
   static obs::Counter& computes =
       obs::metrics().counter(obs::kCacheRepairCompute);
+  static obs::Counter& static_probes =
+      obs::metrics().counter(obs::kCacheStaticProbe);
+  static obs::Counter& dynamic_probes =
+      obs::metrics().counter(obs::kCacheDynamicProbe);
+  static obs::Counter& lint_probes =
+      obs::metrics().counter(obs::kCacheLintProbe);
   probes.add();
-  const std::uint64_t key =
-      hash_combine(fnv1a64(code), hash_repair_options(opts));
+  const std::uint64_t code_key = fnv1a64(code);
+  const std::uint64_t key = hash_combine(code_key, hash_repair_options(opts));
   const repair::RepairResult& v = repair_results_.get_or_compute(key, [&] {
     computes.add();
     obs::Span span(obs::kSpanArtifactRepair);
-    return repair::repair_source(code, opts);
+    // Reuse what the detection stages already computed for this code.
+    repair::DetectionReports known;
+    known.static_report = find_resident(
+        static_reports_, Kind::Static,
+        hash_combine(code_key, hash_static_options(opts.static_opts)),
+        static_probes, cost_report);
+    known.dynamic_report = find_resident(
+        dynamic_reports_, Kind::Dynamic,
+        hash_combine(code_key, hash_dynamic_options(opts.dynamic_opts)),
+        dynamic_probes, cost_report);
+    // lint_report() is keyed by the code alone (default LintOptions, the
+    // same linter repair runs).
+    known.lint_report = find_resident(lint_reports_, Kind::Lint, code_key,
+                                      lint_probes, cost_lint);
+    return repair::repair_source(code, opts, known);
   });
   touch(Kind::Repair, key, cost_repair(v));
   return v;

@@ -31,6 +31,7 @@
 #include "explore/explore.hpp"
 #include "lint/lint.hpp"
 #include "llm/features.hpp"
+#include "obs/obs.hpp"
 #include "repair/repair.hpp"
 #include "runtime/dynamic.hpp"
 #include "support/parallel.hpp"
@@ -82,6 +83,11 @@ class ArtifactCache {
   /// detect -> generate -> apply -> verify loop of repair_source). The key
   /// covers the strategy, the candidate cap, and both detector option
   /// sets. repair_source never throws, so every result is cacheable.
+  /// On a miss, any static, dynamic or lint report already resident for
+  /// the same code and matching options is handed to repair instead of
+  /// being recomputed (find-only: nothing is inserted or waited for; a
+  /// hit counts as a probe and a touch of its kind, a miss counts
+  /// nothing).
   const repair::RepairResult& repair_result(const std::string& code,
                                             const repair::RepairOptions& opts);
 
@@ -177,6 +183,14 @@ class ArtifactCache {
     std::uint64_t bytes;
     std::shared_ptr<const void> handle;  // keeps evicted storage alive
   };
+
+  /// Find-only lookup behind repair_result's detection reuse: the
+  /// completed `map` entry for `key` or nullptr. A hit bumps `probes` and
+  /// touches the entry; a miss counts nothing.
+  template <typename Value, typename CostFn>
+  const Value* find_resident(const support::OnceMap<Value>& map, Kind kind,
+                             std::uint64_t key, obs::Counter& probes,
+                             CostFn&& cost);
 
   /// Marks (kind, key, bytes) as most recently used and, if the budget
   /// is exceeded, evicts from the LRU tail.

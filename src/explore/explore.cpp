@@ -5,10 +5,8 @@
 #include <utility>
 
 #include "explore/minimize.hpp"
-#include "minic/parser.hpp"
 #include "obs/catalog.hpp"
 #include "obs/obs.hpp"
-#include "runtime/bc/compile.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 
@@ -53,7 +51,7 @@ runtime::RunOptions schedule_run_options(const ExploreOptions& opts,
 
 }  // namespace
 
-ExploreResult explore_source(std::string_view source,
+ExploreResult explore_source(const analysis::FrontEnd& fe,
                              const ExploreOptions& opts) {
   static obs::Counter& schedules_run =
       obs::metrics().counter(obs::kExploreSchedules);
@@ -72,19 +70,6 @@ ExploreResult explore_source(std::string_view source,
   obs::Span entry_span(obs::kSpanExploreEntry,
                        strategy_name(opts.strategy));
 
-  minic::Program prog = minic::parse_program(source);
-  analysis::Resolution res = analysis::resolve(*prog.unit);
-
-  // Compile once; every schedule (and the minimizer's replays) reuses the
-  // same verified module.
-  runtime::bc::Module module;
-  ExploreOptions eopts = opts;
-  if (eopts.run.backend == runtime::Backend::Vm &&
-      eopts.run.module == nullptr) {
-    module = runtime::bc::compile_verified(*prog.unit);
-    eopts.run.module = &module;
-  }
-
   ExploreResult result;
   std::set<std::uint64_t> coverage;
   int plateau = 0;
@@ -92,10 +77,11 @@ ExploreResult explore_source(std::string_view source,
   runtime::RunOptions racy_run;
 
   for (int i = 0; i < opts.max_schedules; ++i) {
-    const runtime::RunOptions run = schedule_run_options(eopts, i);
+    const runtime::RunOptions run = schedule_run_options(opts, i);
+    const std::string schedule_label = std::to_string(i);
     runtime::RunResult rr = [&] {
-      obs::Span span(obs::kSpanExploreSchedule, std::to_string(i));
-      return runtime::run_program(*prog.unit, res, run);
+      obs::Span span(obs::kSpanExploreSchedule, schedule_label);
+      return runtime::run_program(fe, run);
     }();
     ++result.schedules_run;
     schedules_run.add();
@@ -155,8 +141,7 @@ ExploreResult explore_source(std::string_view source,
         replay.replay = &candidate;
         replay.capture_trace = false;
         replay.collect_coverage = false;
-        return runtime::run_program(*prog.unit, res, replay)
-            .report.race_detected;
+        return runtime::run_program(fe, replay).report.race_detected;
       };
       MinimizeResult mr = minimize_trace(racy_trace, still_races,
                                          opts.max_minimize_replays);
@@ -188,12 +173,15 @@ ExploreResult explore_source(std::string_view source,
   return result;
 }
 
+ExploreResult explore_source(std::string_view source,
+                             const ExploreOptions& opts) {
+  return explore_source(analysis::FrontEnd(source), opts);
+}
+
 runtime::RunResult replay_witness(std::string_view source, const Witness& w,
                                   const runtime::RunOptions& base) {
-  minic::Program prog = minic::parse_program(source);
-  analysis::Resolution res = analysis::resolve(*prog.unit);
-  const runtime::RunOptions run = witness_run_options(w, base);
-  return runtime::run_program(*prog.unit, res, run);
+  return runtime::run_program(analysis::FrontEnd(source),
+                              witness_run_options(w, base));
 }
 
 }  // namespace drbml::explore

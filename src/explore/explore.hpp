@@ -88,7 +88,12 @@ struct ExploreResult {
   int faulted_runs = 0;
 };
 
-/// Runs the exploration loop on one source. Parse/resolve errors
+/// Runs the exploration loop on one front end. Every schedule and every
+/// minimizer replay shares the front end's compiled module.
+[[nodiscard]] ExploreResult explore_source(const analysis::FrontEnd& fe,
+                                           const ExploreOptions& opts);
+
+/// Convenience: explore_source(FrontEnd(source), opts). Parse errors
 /// propagate as exceptions (callers batching over a corpus should catch
 /// support's Error, matching the dynamic detector's convention).
 [[nodiscard]] ExploreResult explore_source(std::string_view source,

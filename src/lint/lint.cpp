@@ -2,7 +2,6 @@
 
 #include <string_view>
 
-#include "minic/parser.hpp"
 #include "obs/catalog.hpp"
 
 namespace drbml::lint {
@@ -28,17 +27,21 @@ obs::Counter& diag_counter(std::string_view check_id) {
 
 }  // namespace
 
-LintReport Linter::lint_source(std::string_view source) const {
+LintReport Linter::lint(const analysis::FrontEnd& fe,
+                        const analysis::RaceReport* race) const {
   static obs::Counter& runs = obs::metrics().counter(obs::kLintRuns);
   static obs::Counter& suppressed =
       obs::metrics().counter(obs::kLintSuppressed);
   obs::Span span(obs::kSpanLintRun);
-  minic::Program program = minic::parse_program(source);
-  LintReport report = manager_.run(program, opts_);
+  LintReport report = manager_.run(fe, opts_, race);
   runs.add();
   suppressed.add(static_cast<std::uint64_t>(report.suppressed));
   for (const auto& d : report.diagnostics) diag_counter(d.check_id).add();
   return report;
+}
+
+LintReport Linter::lint_source(std::string_view source) const {
+  return lint(analysis::FrontEnd(source));
 }
 
 }  // namespace drbml::lint

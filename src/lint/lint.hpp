@@ -12,7 +12,15 @@ class Linter {
  public:
   explicit Linter(LintOptions opts = {}) : opts_(std::move(opts)) {}
 
-  /// Parses and lints one program. Throws ParseError on malformed input.
+  /// Lints one front end. `race`, when given, is the static report of the
+  /// same source under options().detector and is adopted instead of
+  /// judged again.
+  [[nodiscard]] LintReport lint(
+      const analysis::FrontEnd& fe,
+      const analysis::RaceReport* race = nullptr) const;
+
+  /// Convenience: lint(FrontEnd(source)). Throws ParseError on malformed
+  /// input.
   [[nodiscard]] LintReport lint_source(std::string_view source) const;
 
   [[nodiscard]] const LintOptions& options() const noexcept { return opts_; }

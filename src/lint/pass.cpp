@@ -59,17 +59,16 @@ const char* severity_name(Severity s) noexcept {
   return "?";
 }
 
-LintReport PassManager::run(minic::Program& program,
-                            const LintOptions& opts) const {
-  analysis::Resolution res = analysis::resolve(*program.unit);
-  const std::vector<analysis::ParallelRegion> regions =
-      analysis::collect_regions(*program.unit, res, opts.detector.collect);
-  analysis::StaticRaceDetector detector(opts.detector);
-  const analysis::RaceReport race = detector.analyze_unit(*program.unit);
-
+LintReport PassManager::run(const analysis::FrontEnd& fe,
+                            const LintOptions& opts,
+                            const analysis::RaceReport* race) const {
   LintReport report;
-  report.race = race;
-  const LintContext ctx{program, res, regions, race, opts};
+  report.race = race != nullptr
+                    ? *race
+                    : analysis::StaticRaceDetector(opts.detector).analyze(fe);
+  const minic::Program& program = fe.program();
+  const LintContext ctx{program, fe.resolution(),
+                        fe.regions(opts.detector.collect), report.race, opts};
   for (const auto& pass : passes_) {
     if (!pass_enabled(*pass, opts)) continue;
     pass->run(ctx, report.diagnostics);

@@ -1,7 +1,8 @@
 // Pass-manager core of the OpenMP correctness linter.
 //
-// The linter wraps the existing resolve -> access-collection -> dependence
-// pipeline once per program, then hands the shared LintContext to a
+// The linter reads one analysis::FrontEnd per program (its resolution and
+// parallel regions, plus the static race report judged over those same
+// regions), then hands the shared LintContext to a
 // sequence of independent checks (LintPass). Each pass appends structured
 // Diagnostics; the manager orders them by location, applies
 // `// drbml-lint-suppress(check-id)` comment suppression (comma-separated
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "analysis/access.hpp"
+#include "analysis/front_end.hpp"
 #include "analysis/race.hpp"
 #include "lint/diagnostic.hpp"
 #include "minic/ast.hpp"
@@ -65,12 +67,14 @@ class PassManager {
   explicit PassManager(std::vector<std::unique_ptr<LintPass>> passes)
       : passes_(std::move(passes)) {}
 
-  /// Runs every enabled pass over a parsed program. Resolves the unit in
-  /// place (idempotent), collects parallel regions, runs the static race
-  /// detector, then the passes; diagnostics come back sorted by location
-  /// with suppressed findings removed and counted.
-  [[nodiscard]] LintReport run(minic::Program& program,
-                               const LintOptions& opts) const;
+  /// Runs every enabled pass over a front end: judges its regions with
+  /// the static race detector (or adopts `race`, which must be the static
+  /// report of the same source under `opts.detector`), then runs the
+  /// passes; diagnostics come back sorted by location with suppressed
+  /// findings removed and counted.
+  [[nodiscard]] LintReport run(
+      const analysis::FrontEnd& fe, const LintOptions& opts,
+      const analysis::RaceReport* race = nullptr) const;
 
   [[nodiscard]] const std::vector<std::unique_ptr<LintPass>>& passes()
       const noexcept {

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "minic/lexer.hpp"
+#include "obs/catalog.hpp"
 #include "support/error.hpp"
 
 namespace drbml::minic {
@@ -1017,6 +1018,8 @@ std::unique_ptr<TranslationUnit> parse_tokens(std::vector<Token> tokens) {
 }
 
 Program parse_program(std::string_view source) {
+  static obs::Counter& parses = obs::metrics().counter(obs::kMinicParses);
+  parses.add();
   Program p;
   p.original = std::string(source);
   p.strip = strip_comments(source);

@@ -300,21 +300,30 @@ const MetricDesc kRepairRejectedExplore{
     "Candidates rejected at gate 4: PCT schedule exploration found a race "
     "the fixed-seed dynamic gate missed."};
 
+const MetricDesc kMinicParses{
+    "minic.parses", MetricKind::Counter, "count", kStable,
+    "Mini-C source texts parsed (every parse_program call, whoever asks: "
+    "front ends, patch application, AST renderings)."};
+
 const MetricDesc kInterpReplays{
     "interp.replays", MetricKind::Counter, "count", kStable,
-    "Deterministic schedule replays executed."};
+    "Schedule runs executed by any caller: dynamic-detector seeds, "
+    "explored schedules, minimizer replays, repair gate runs."};
 const MetricDesc kInterpFaults{
     "interp.faults", MetricKind::Counter, "count", kStable,
-    "Replays that ended in a runtime fault."};
+    "Dynamic-detector replays that ended in a runtime fault."};
 const MetricDesc kInterpRaces{
     "interp.races", MetricKind::Counter, "count", kStable,
-    "Replays on which the vector-clock checker flagged a race."};
+    "Dynamic-detector replays on which the vector-clock checker flagged a "
+    "race."};
 const MetricDesc kSchedSteps{
     "sched.steps", MetricKind::Counter, "count", kStable,
-    "Cooperative-scheduler steps executed (summed over replays)."};
+    "Cooperative-scheduler steps executed (summed over every schedule "
+    "run)."};
 const MetricDesc kSchedStepsPerReplay{
     "sched.steps_per_replay", MetricKind::Histogram, "steps", kStable,
-    "Distribution of scheduler steps per replay (power-of-two buckets)."};
+    "Distribution of scheduler steps per schedule run (power-of-two "
+    "buckets)."};
 
 const MetricDesc kVmModules{
     "vm.modules", MetricKind::Counter, "count", kStable,
@@ -445,6 +454,7 @@ const std::vector<const MetricDesc*>& metric_catalog() {
       &kRepairRejectedFault, &kRepairRejectedDynamic,
       &kRepairRejectedNondet, &kRepairRejectedOutput,
       &kRepairRejectedError,  &kRepairRejectedExplore,
+      &kMinicParses,
       &kInterpReplays,       &kInterpFaults,
       &kInterpRaces,         &kSchedSteps,
       &kSchedStepsPerReplay,

@@ -134,6 +134,9 @@ extern const MetricDesc kRepairRejectedOutput;
 extern const MetricDesc kRepairRejectedError;
 extern const MetricDesc kRepairRejectedExplore;
 
+// Front end.
+extern const MetricDesc kMinicParses;
+
 // Runtime (interpreter + scheduler).
 extern const MetricDesc kInterpReplays;
 extern const MetricDesc kInterpFaults;

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -274,7 +275,8 @@ class Tracer {
 ///
 /// `detail` is captured as a string_view: the caller must keep the
 /// referenced string alive for the span's lifetime (entry names and
-/// other long-lived strings qualify; build no temporaries).
+/// other long-lived strings qualify). A temporary std::string would
+/// dangle, so that overload is deleted: name the string before the span.
 class Span {
  public:
   explicit Span(const SpanDesc& desc, std::string_view detail = {},
@@ -291,6 +293,9 @@ class Span {
     }
   }
   Span(const SpanDesc& desc, Timer* timer) noexcept : Span(desc, {}, timer) {}
+  template <typename S>
+    requires std::same_as<S, std::string>
+  Span(const SpanDesc& desc, S&& detail, Timer* timer = nullptr) = delete;
   ~Span();
 
   Span(const Span&) = delete;

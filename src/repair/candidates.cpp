@@ -4,9 +4,6 @@
 #include <set>
 #include <string>
 
-#include "analysis/access.hpp"
-#include "analysis/resolve.hpp"
-#include "support/error.hpp"
 
 namespace drbml::repair {
 
@@ -244,16 +241,14 @@ bool attacks_evidence(const Patch& patch, const analysis::Evidence& ev) {
 
 class Generator {
  public:
-  Generator(minic::Program& prog, const analysis::RaceReport& races,
+  // Generation only navigates the AST; stmt_chain_at hands out mutable
+  // statement pointers because the patch applier shares it.
+  Generator(const analysis::FrontEnd& fe, const analysis::RaceReport& races,
             const lint::LintReport* lint_report)
-      : prog_(prog), races_(races), lint_(lint_report) {
-    try {
-      res_ = analysis::resolve(*prog_.unit);
-      regions_ = analysis::collect_regions(*prog_.unit, res_);
-    } catch (const Error&) {
-      // Unresolvable programs still get chain-based candidates.
-    }
-  }
+      : unit_(const_cast<TranslationUnit&>(fe.unit())),
+        races_(races),
+        lint_(lint_report),
+        regions_(fe.regions()) {}
 
   std::vector<Candidate> run() {
     if (lint_ != nullptr) from_lint();
@@ -304,7 +299,7 @@ class Generator {
   void from_lint() {
     for (const auto& d : lint_->diagnostics) {
       if (d.fixit.empty()) continue;
-      auto chain = stmt_chain_at(*prog_.unit, d.loc);
+      auto chain = stmt_chain_at(unit_, d.loc);
       OmpStmt* region = enclosing_region(chain);
       const std::string& fx = d.fixit;
       auto clause_arg_of = [&](std::size_t open) {
@@ -382,8 +377,8 @@ class Generator {
 
   void from_pair(const analysis::RacePair& pair) {
     ev_ = &pair.evidence;
-    auto chain_a = stmt_chain_at(*prog_.unit, pair.first.loc);
-    auto chain_b = stmt_chain_at(*prog_.unit, pair.second.loc);
+    auto chain_a = stmt_chain_at(unit_, pair.first.loc);
+    auto chain_b = stmt_chain_at(unit_, pair.second.loc);
     if (chain_a.empty() && chain_b.empty()) return;
     if (chain_a.empty()) chain_a = chain_b;
     OmpStmt* region = enclosing_region(chain_a);
@@ -659,14 +654,13 @@ class Generator {
     }
   }
 
-  minic::Program& prog_;
+  TranslationUnit& unit_;
   const analysis::RaceReport& races_;
   const lint::LintReport* lint_;
   /// Evidence of the pair currently being expanded (nullptr during
   /// lint-driven generation, which carries no chain).
   const analysis::Evidence* ev_ = nullptr;
-  analysis::Resolution res_;
-  std::vector<analysis::ParallelRegion> regions_;
+  const std::vector<analysis::ParallelRegion>& regions_;
   std::set<std::string> seen_;
   std::vector<Candidate> out_;
 };
@@ -691,11 +685,11 @@ std::optional<Strategy> parse_strategy(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-std::vector<Patch> generate_candidates(minic::Program& prog,
+std::vector<Patch> generate_candidates(const analysis::FrontEnd& fe,
                                        const analysis::RaceReport& races,
                                        const lint::LintReport* lint_report,
                                        Strategy strategy) {
-  Generator gen(prog, races, lint_report);
+  Generator gen(fe, races, lint_report);
   std::vector<Candidate> all = gen.run();
   std::vector<Patch> out;
   for (auto& c : all) {

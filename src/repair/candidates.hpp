@@ -17,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/front_end.hpp"
 #include "analysis/report.hpp"
 #include "lint/diagnostic.hpp"
 #include "minic/ast.hpp"
@@ -35,12 +36,12 @@ enum class Strategy {
 [[nodiscard]] std::optional<Strategy> parse_strategy(
     std::string_view name) noexcept;
 
-/// Generates ranked patch candidates for `prog` from the static race
-/// evidence and (optionally) the linter's structured fix-its. The program
-/// is resolved in place for access classification. Deterministic: same
-/// inputs, same candidate list.
+/// Generates ranked patch candidates for `fe` from the static race
+/// evidence and (optionally) the linter's structured fix-its, classifying
+/// accesses by the front end's parallel regions (default collection).
+/// Deterministic: same inputs, same candidate list.
 [[nodiscard]] std::vector<Patch> generate_candidates(
-    minic::Program& prog, const analysis::RaceReport& races,
+    const analysis::FrontEnd& fe, const analysis::RaceReport& races,
     const lint::LintReport* lint_report, Strategy strategy);
 
 }  // namespace drbml::repair

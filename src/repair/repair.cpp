@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <optional>
 
 #include "dataset/drbml.hpp"
 #include "explore/explore.hpp"
 #include "lint/lint.hpp"
-#include "minic/parser.hpp"
 #include "obs/catalog.hpp"
 #include "support/error.hpp"
 
@@ -44,42 +44,73 @@ const char* repair_status_name(RepairStatus s) noexcept {
 
 namespace {
 
-VerifyOutcome verify_candidate_impl(const std::string& original,
+runtime::DynamicDetectorOptions one_thread(runtime::DynamicDetectorOptions o) {
+  o.run.num_threads = 1;
+  return o;
+}
+
+/// Gate 3's reference semantics: the original program run on one thread,
+/// computed at the first candidate that reaches the gate and shared by
+/// every later one.
+class SerialReference {
+ public:
+  /// `original` is null when the original does not parse (no reference).
+  SerialReference(const analysis::FrontEnd* original,
+                  const RepairOptions& opts)
+      : original_(original), detector_(one_thread(opts.dynamic_opts)) {}
+
+  /// One serial run of `fe`, under the same options as the reference.
+  [[nodiscard]] runtime::RunResult run(const analysis::FrontEnd& fe) const {
+    return detector_.run_once(fe, detector_.options().run.seed);
+  }
+
+  /// The original's serial run; nullptr when it faults or cannot run, in
+  /// which case gate 3 is skipped.
+  const runtime::RunResult* get() {
+    if (!computed_) {
+      computed_ = true;
+      try {
+        if (original_ != nullptr) {
+          runtime::RunResult ref = run(*original_);
+          if (!ref.faulted) result_ = std::move(ref);
+        }
+      } catch (const Error&) {
+        // No serial reference; gate 2 still applies, gate 3 is skipped.
+      }
+    }
+    return result_ ? &*result_ : nullptr;
+  }
+
+ private:
+  const analysis::FrontEnd* original_;
+  runtime::DynamicRaceDetector detector_;
+  bool computed_ = false;
+  std::optional<runtime::RunResult> result_;
+};
+
+VerifyOutcome verify_candidate_impl(SerialReference& reference,
                                     const std::string& patched,
                                     const RepairOptions& opts) {
   VerifyOutcome out;
 
-  // Gate 1: static detector must report race-free.
+  // The candidate is parsed, resolved and (under the VM) compiled once;
+  // every gate below runs on this front end.
+  std::optional<analysis::FrontEnd> fe;
   try {
-    const analysis::StaticRaceDetector sdet(opts.static_opts);
-    if (sdet.analyze_source(patched).race_detected) {
-      out.gate = RejectGate::Static;
-      out.reason = "static detector still reports a race";
-      return out;
-    }
+    fe.emplace(patched);
   } catch (const Error& e) {
     out.gate = RejectGate::Static;
     out.reason = std::string("static analysis failed: ") + e.what();
     return out;
   }
 
-  // Reference semantics: the original program executed serially.
-  runtime::DynamicDetectorOptions serial_opts = opts.dynamic_opts;
-  serial_opts.run.num_threads = 1;
-  const runtime::DynamicRaceDetector serial_det(serial_opts);
-  bool have_ref = false;
-  std::string ref_output;
-  int ref_exit = 0;
-  try {
-    const runtime::RunResult ref =
-        serial_det.run_once(original, serial_opts.run.seed);
-    if (!ref.faulted) {
-      have_ref = true;
-      ref_output = ref.output;
-      ref_exit = ref.exit_code;
-    }
-  } catch (const Error&) {
-    // No serial reference; gates 2 still apply, gate 3 is skipped.
+  // Gate 1: static detector must report race-free.
+  if (analysis::StaticRaceDetector(opts.static_opts)
+          .analyze(*fe)
+          .race_detected) {
+    out.gate = RejectGate::Static;
+    out.reason = "static detector still reports a race";
+    return out;
   }
 
   // Gate 2: every parallel schedule must be race-free and fault-free, and
@@ -88,12 +119,13 @@ VerifyOutcome verify_candidate_impl(const std::string& original,
   // the serial reference -- programs whose answer legitimately depends on
   // the thread count (each thread increments a counter) would fail that.
   const runtime::DynamicRaceDetector ddet(opts.dynamic_opts);
+  bool have_ref = false;
   try {
     bool have_par = false;
     std::string par_output;
     int par_exit = 0;
     for (const std::uint64_t seed : opts.dynamic_opts.schedule_seeds) {
-      const runtime::RunResult run = ddet.run_once(patched, seed);
+      const runtime::RunResult run = ddet.run_once(*fe, seed);
       if (run.faulted) {
         out.gate = RejectGate::Fault;
         out.reason = "patched program faults: " + run.fault_message;
@@ -120,11 +152,11 @@ VerifyOutcome verify_candidate_impl(const std::string& original,
     // thread must match the original run on one thread byte for byte.
     // This is what rejects patches like privatizing an accumulator: they
     // silence the detectors but change the answer even serially.
-    if (have_ref) {
-      const runtime::RunResult srun =
-          serial_det.run_once(patched, serial_opts.run.seed);
-      if (srun.faulted || srun.output != ref_output ||
-          srun.exit_code != ref_exit) {
+    if (const runtime::RunResult* ref = reference.get()) {
+      have_ref = true;
+      const runtime::RunResult srun = reference.run(*fe);
+      if (srun.faulted || srun.output != ref->output ||
+          srun.exit_code != ref->exit_code) {
         out.gate = RejectGate::Output;
         out.reason = "serial output diverges from the original";
         return out;
@@ -148,8 +180,7 @@ VerifyOutcome verify_candidate_impl(const std::string& original,
       eopts.pct_depth = opts.explore_pct_depth;
       eopts.max_schedules = opts.explore_schedules;
       eopts.minimize = false;
-      const explore::ExploreResult er =
-          explore::explore_source(patched, eopts);
+      const explore::ExploreResult er = explore::explore_source(*fe, eopts);
       if (er.race_detected) {
         out.gate = RejectGate::Explore;
         out.reason = "PCT exploration still finds a race (schedule " +
@@ -191,16 +222,16 @@ obs::Counter& reject_counter(RejectGate gate) {
   return stat;
 }
 
-}  // namespace
-
-VerifyOutcome verify_candidate(const std::string& original,
-                               const std::string& patched,
-                               const RepairOptions& opts) {
+/// verify_candidate_impl plus the repair.verify span and the accept /
+/// reject counters.
+VerifyOutcome verify_counted(SerialReference& reference,
+                             const std::string& patched,
+                             const RepairOptions& opts) {
   static obs::Counter& accepted = obs::metrics().counter(obs::kRepairAccepted);
   VerifyOutcome out;
   {
     obs::Span span(obs::kSpanRepairVerify);
-    out = verify_candidate_impl(original, patched, opts);
+    out = verify_candidate_impl(reference, patched, opts);
   }
   if (out.accepted) {
     accepted.add();
@@ -210,8 +241,24 @@ VerifyOutcome verify_candidate(const std::string& original,
   return out;
 }
 
+}  // namespace
+
+VerifyOutcome verify_candidate(const std::string& original,
+                               const std::string& patched,
+                               const RepairOptions& opts) {
+  std::optional<analysis::FrontEnd> original_fe;
+  try {
+    original_fe.emplace(original);
+  } catch (const Error&) {
+    // An unparseable original has no serial reference; gate 3 is skipped.
+  }
+  SerialReference reference(original_fe ? &*original_fe : nullptr, opts);
+  return verify_counted(reference, patched, opts);
+}
+
 RepairResult repair_source(const std::string& source,
-                           const RepairOptions& opts) {
+                           const RepairOptions& opts,
+                           const DetectionReports& known) {
   static obs::Counter& candidates_tried =
       obs::metrics().counter(obs::kRepairCandidates);
   static obs::Counter& no_candidate =
@@ -221,9 +268,12 @@ RepairResult repair_source(const std::string& source,
   obs::Span entry_span(obs::kSpanRepairEntry);
   RepairResult r;
 
-  minic::Program prog;
+  // The original is parsed, resolved and collected once for detection,
+  // linting and candidate generation, and compiled at most once (for the
+  // dynamic detector or the serial reference).
+  std::optional<analysis::FrontEnd> fe;
   try {
-    prog = minic::parse_program(source);
+    fe.emplace(source);
   } catch (const Error& e) {
     r.status = RepairStatus::Error;
     r.message = std::string("error: parse failed: ") + e.what();
@@ -231,40 +281,44 @@ RepairResult repair_source(const std::string& source,
   }
 
   // Detection: does this program need repair at all?
-  analysis::RaceReport static_report;
-  try {
-    const analysis::StaticRaceDetector sdet(opts.static_opts);
-    static_report = sdet.analyze_source(source);
-  } catch (const Error& e) {
-    r.status = RepairStatus::Error;
-    r.message = std::string("error: static analysis failed: ") + e.what();
-    return r;
+  analysis::RaceReport computed_static;
+  const analysis::RaceReport* static_report = known.static_report;
+  if (static_report == nullptr) {
+    computed_static =
+        analysis::StaticRaceDetector(opts.static_opts).analyze(*fe);
+    static_report = &computed_static;
   }
   bool dynamic_race = false;
-  try {
-    const runtime::DynamicRaceDetector ddet(opts.dynamic_opts);
-    dynamic_race = ddet.analyze_source(source).race_detected;
-  } catch (const Error&) {
-    // Non-executable programs (no main, faults) fall back to static-only.
+  if (known.dynamic_report != nullptr) {
+    dynamic_race = known.dynamic_report->race_detected;
+  } else {
+    try {
+      const runtime::DynamicRaceDetector ddet(opts.dynamic_opts);
+      dynamic_race = ddet.analyze(*fe).race_detected;
+    } catch (const Error&) {
+      // Non-executable programs (no main, faults) fall back to static-only.
+    }
   }
-  if (!static_report.race_detected && !dynamic_race) {
+  if (!static_report->race_detected && !dynamic_race) {
     r.status = RepairStatus::NoRaceDetected;
     r.patched = source;
     return r;
   }
 
-  // Linter fix-its seed the cheapest candidates.
-  lint::LintReport lint_report;
-  const lint::LintReport* lint_ptr = nullptr;
-  try {
+  // Linter fix-its seed the cheapest candidates. The linter judges races
+  // with the same static detector; under the same options it adopts the
+  // report above instead of judging again.
+  lint::LintReport computed_lint;
+  const lint::LintReport* lint_report = known.lint_report;
+  if (lint_report == nullptr) {
     const lint::Linter linter;
-    lint_report = linter.lint_source(source);
-    lint_ptr = &lint_report;
-  } catch (const Error&) {
+    const bool same_static = linter.options().detector == opts.static_opts;
+    computed_lint = linter.lint(*fe, same_static ? static_report : nullptr);
+    lint_report = &computed_lint;
   }
 
-  const std::vector<Patch> candidates =
-      generate_candidates(prog, static_report, lint_ptr, opts.strategy);
+  const std::vector<Patch> candidates = generate_candidates(
+      *fe, *static_report, lint_report, opts.strategy);
   r.candidates_generated = static_cast<int>(candidates.size());
   if (candidates.empty()) {
     no_candidate.add();
@@ -275,6 +329,7 @@ RepairResult repair_source(const std::string& source,
     return r;
   }
 
+  SerialReference reference(&*fe, opts);
   std::string last_reason;
   for (const Patch& patch : candidates) {
     if (r.attempts >= opts.max_candidates) break;
@@ -288,7 +343,7 @@ RepairResult repair_source(const std::string& source,
     }
     const std::string patched =
         remap_annotations(applied.patched, applied.line_map);
-    const VerifyOutcome verdict = verify_candidate(source, patched, opts);
+    const VerifyOutcome verdict = verify_counted(reference, patched, opts);
     if (!verdict.accepted) {
       last_reason = patch.id + ": " + verdict.reason;
       continue;

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "analysis/race.hpp"
+#include "lint/diagnostic.hpp"
 #include "repair/candidates.hpp"
 #include "repair/patch.hpp"
 #include "runtime/dynamic.hpp"
@@ -99,10 +100,25 @@ struct VerifyOutcome {
                                              const std::string& patched,
                                              const RepairOptions& opts);
 
+/// Detection reports already computed for the same source, each under
+/// the matching options: `static_report` under RepairOptions::static_opts,
+/// `dynamic_report` under RepairOptions::dynamic_opts, `lint_report` under
+/// the default LintOptions. Repair adopts every non-null report instead
+/// of running that detector again; the result is the same either way.
+struct DetectionReports {
+  const analysis::RaceReport* static_report = nullptr;
+  const analysis::RaceReport* dynamic_report = nullptr;
+  const lint::LintReport* lint_report = nullptr;
+};
+
 /// The full loop: detect, generate ranked candidates, apply + verify until
-/// one survives. Never throws.
+/// one survives. The original is parsed, resolved and compiled once, each
+/// applied candidate once for all four gates, and the original's serial
+/// reference run is computed once, at the first candidate reaching gate 3.
+/// Never throws.
 [[nodiscard]] RepairResult repair_source(const std::string& source,
-                                         const RepairOptions& opts = {});
+                                         const RepairOptions& opts = {},
+                                         const DetectionReports& known = {});
 
 /// Rewrites DRB "Data race pair:" header annotations so their
 /// original-file line numbers track the patch's insertions/deletions

@@ -1,44 +1,23 @@
 #include "runtime/dynamic.hpp"
 
-#include "minic/parser.hpp"
 #include "obs/catalog.hpp"
-#include "runtime/bc/compile.hpp"
 
 namespace drbml::runtime {
 
-analysis::RaceReport DynamicRaceDetector::analyze_source(
-    std::string_view source) const {
-  static obs::Counter& replays = obs::metrics().counter(obs::kInterpReplays);
+analysis::RaceReport DynamicRaceDetector::analyze(
+    const analysis::FrontEnd& fe) const {
   static obs::Counter& faults = obs::metrics().counter(obs::kInterpFaults);
   static obs::Counter& races = obs::metrics().counter(obs::kInterpRaces);
-  static obs::Counter& steps = obs::metrics().counter(obs::kSchedSteps);
-  static obs::Histogram& steps_hist =
-      obs::metrics().histogram(obs::kSchedStepsPerReplay);
-
-  minic::Program prog = minic::parse_program(source);
-  analysis::Resolution res = analysis::resolve(*prog.unit);
-
-  // Compile once, execute every schedule seed against the same module.
-  bc::Module module;
-  if (opts_.run.backend == Backend::Vm && opts_.run.module == nullptr) {
-    module = bc::compile_verified(*prog.unit);
-  }
 
   analysis::RaceReport merged;
   for (std::uint64_t seed : opts_.schedule_seeds) {
     RunOptions run = opts_.run;
     run.seed = seed;
-    if (run.backend == Backend::Vm && run.module == nullptr) {
-      run.module = &module;
-    }
     const std::string seed_label = "seed=" + std::to_string(seed);
     RunResult result = [&] {
       obs::Span span(obs::kSpanInterpReplay, seed_label);
-      return run_program(*prog.unit, res, run);
+      return run_program(fe, run);
     }();
-    replays.add();
-    steps.add(result.steps);
-    steps_hist.observe(result.steps);
     if (result.faulted) faults.add();
     if (result.report.race_detected) races.add();
     for (auto& pair : result.report.pairs) {
@@ -59,13 +38,21 @@ analysis::RaceReport DynamicRaceDetector::analyze_source(
   return merged;
 }
 
-RunResult DynamicRaceDetector::run_once(std::string_view source,
+analysis::RaceReport DynamicRaceDetector::analyze_source(
+    std::string_view source) const {
+  return analyze(analysis::FrontEnd(source));
+}
+
+RunResult DynamicRaceDetector::run_once(const analysis::FrontEnd& fe,
                                         std::uint64_t seed) const {
-  minic::Program prog = minic::parse_program(source);
-  analysis::Resolution res = analysis::resolve(*prog.unit);
   RunOptions run = opts_.run;
   run.seed = seed;
-  return run_program(*prog.unit, res, run);
+  return run_program(fe, run);
+}
+
+RunResult DynamicRaceDetector::run_once(std::string_view source,
+                                        std::uint64_t seed) const {
+  return run_once(analysis::FrontEnd(source), seed);
 }
 
 }  // namespace drbml::runtime

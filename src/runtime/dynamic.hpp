@@ -26,11 +26,20 @@ class DynamicRaceDetector {
   explicit DynamicRaceDetector(DynamicDetectorOptions opts = {})
       : opts_(std::move(opts)) {}
 
-  /// Parses, resolves, and executes the source under each schedule seed.
+  /// Executes the program under each schedule seed and unions the
+  /// reports. Under the VM every seed runs the front end's one module.
+  [[nodiscard]] analysis::RaceReport analyze(
+      const analysis::FrontEnd& fe) const;
+
+  /// Convenience: analyze(FrontEnd(source)).
   [[nodiscard]] analysis::RaceReport analyze_source(
       std::string_view source) const;
 
   /// Runs one schedule and returns the full execution result.
+  [[nodiscard]] RunResult run_once(const analysis::FrontEnd& fe,
+                                   std::uint64_t seed) const;
+
+  /// Convenience: run_once(FrontEnd(source), seed).
   [[nodiscard]] RunResult run_once(std::string_view source,
                                    std::uint64_t seed) const;
 

@@ -8,6 +8,9 @@
 #if DRBML_FIBER_ASM || DRBML_FIBER_UCONTEXT
 #include <sys/mman.h>
 #endif
+#if DRBML_FIBER_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace drbml::runtime {
 
@@ -54,10 +57,35 @@ void release_stack(void* p) { t_pool.free_list.push_back(p); }
 // by start() and cannot carry C++ arguments through the restore sequence.
 thread_local Fiber* t_starting = nullptr;
 
+#if DRBML_FIBER_ASAN
+// The context a switch is leaving; the resumed side records its stack
+// bounds (learning them for an adopted context, such as the scheduler's).
+thread_local Fiber* t_switching_from = nullptr;
+#endif
+
 }  // namespace
 
 struct FiberAccess {
+#if DRBML_FIBER_ASAN
+  static void start_switch(Fiber& from, Fiber& to) {
+    t_switching_from = &from;
+    __sanitizer_start_switch_fiber(&from.fake_stack_, to.stack_bottom_,
+                                   to.stack_size_);
+  }
+  /// Runs on the resumed side. `self` is null for a fiber's first entry,
+  /// which has no fake stack to restore.
+  static void finish_switch(Fiber* self) {
+    Fiber* from = t_switching_from;
+    __sanitizer_finish_switch_fiber(self != nullptr ? self->fake_stack_
+                                                    : nullptr,
+                                    &from->stack_bottom_, &from->stack_size_);
+  }
+#endif
+
   [[noreturn]] static void run_starting() {
+#if DRBML_FIBER_ASAN
+    finish_switch(nullptr);
+#endif
     Fiber* self = t_starting;
     t_starting = nullptr;
     Fiber::Entry entry = self->entry_;
@@ -161,11 +189,21 @@ void Fiber::start(Entry entry, void* arg) {
   uc_.uc_stack.ss_size = kStackBytes;
   uc_.uc_link = nullptr;  // entries never return through the trampoline
   makecontext(&uc_, reinterpret_cast<void (*)()>(&drbml_fiber_trampoline), 0);
+#if DRBML_FIBER_ASAN
+  stack_bottom_ = uc_.uc_stack.ss_sp;
+  stack_size_ = kStackBytes;
+#endif
 }
 
 void Fiber::transfer(Fiber& from, Fiber& to) {
   if (to.entry_ != nullptr) t_starting = &to;
+#if DRBML_FIBER_ASAN
+  FiberAccess::start_switch(from, to);
+#endif
   if (swapcontext(&from.uc_, &to.uc_) != 0) std::abort();
+#if DRBML_FIBER_ASAN
+  FiberAccess::finish_switch(&from);
+#endif
 }
 
 #else

@@ -47,6 +47,20 @@
 #define DRBML_FIBER_UCONTEXT 0
 #endif
 
+// AddressSanitizer tracks one stack per thread; every switch onto another
+// stack must be announced to it, or an exception unwinding on a fiber
+// stack looks like a wild stack overflow.
+#if defined(__SANITIZE_ADDRESS__)
+#define DRBML_FIBER_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DRBML_FIBER_ASAN 1
+#endif
+#endif
+#ifndef DRBML_FIBER_ASAN
+#define DRBML_FIBER_ASAN 0
+#endif
+
 namespace drbml::runtime {
 
 /// One suspended execution context. A default-constructed Fiber is an
@@ -90,6 +104,14 @@ class Fiber {
   void* sp_ = nullptr;
 #elif DRBML_FIBER_UCONTEXT
   ucontext_t uc_{};
+#endif
+#if DRBML_FIBER_ASAN
+  // This context's stack as announced to ASan (an adopted context learns
+  // its bounds when it first switches away), and ASan's fake-stack handle
+  // saved while it is suspended.
+  const void* stack_bottom_ = nullptr;
+  std::size_t stack_size_ = 0;
+  void* fake_stack_ = nullptr;
 #endif
 };
 

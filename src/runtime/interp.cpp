@@ -1273,8 +1273,33 @@ RunResult run_program(const TranslationUnit& unit,
     static obs::Counter& runs = obs::metrics().counter(obs::kVmRuns);
     runs.add();
   }
+  static obs::Counter& replays = obs::metrics().counter(obs::kInterpReplays);
+  static obs::Counter& steps = obs::metrics().counter(obs::kSchedSteps);
+  static obs::Histogram& steps_hist =
+      obs::metrics().histogram(obs::kSchedStepsPerReplay);
   Interp interp(unit, res, o);
-  return interp.run();
+  RunResult result = interp.run();
+  replays.add();
+  steps.add(result.steps);
+  steps_hist.observe(result.steps);
+  return result;
+}
+
+const bc::Module& compiled_module(const analysis::FrontEnd& fe) {
+  std::shared_ptr<const bc::Module>& slot = fe.module_slot();
+  if (slot == nullptr) {
+    slot = std::make_shared<const bc::Module>(bc::compile_verified(fe.unit()));
+  }
+  return *slot;
+}
+
+RunResult run_program(const analysis::FrontEnd& fe, const RunOptions& opts) {
+  if (opts.backend != Backend::Vm || opts.module != nullptr) {
+    return run_program(fe.unit(), fe.resolution(), opts);
+  }
+  RunOptions o = opts;
+  o.module = &compiled_module(fe);
+  return run_program(fe.unit(), fe.resolution(), o);
 }
 
 }  // namespace drbml::runtime

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/front_end.hpp"
 #include "analysis/report.hpp"
 #include "analysis/resolve.hpp"
 #include "minic/ast.hpp"
@@ -104,9 +105,21 @@ struct RunResult {
 };
 
 /// Executes `main()` of a resolved program. The unit must have been passed
-/// through analysis::resolve() so identifiers are bound.
+/// through analysis::resolve() so identifiers are bound. Every schedule
+/// run, whoever asks for it, passes through here and is counted
+/// (interp.replays, sched.steps, sched.steps_per_replay).
 [[nodiscard]] RunResult run_program(const minic::TranslationUnit& unit,
                                     const analysis::Resolution& res,
+                                    const RunOptions& opts = {});
+
+/// The verified bytecode of `fe`'s unit: compiled on the first request
+/// and kept in the front end, so every later run of any schedule, gate or
+/// strategy shares it. Throws Error if verification fails.
+[[nodiscard]] const bc::Module& compiled_module(const analysis::FrontEnd& fe);
+
+/// run_program over a front end. Under Backend::Vm without an explicit
+/// `opts.module`, executes compiled_module(fe).
+[[nodiscard]] RunResult run_program(const analysis::FrontEnd& fe,
                                     const RunOptions& opts = {});
 
 }  // namespace drbml::runtime

@@ -54,7 +54,11 @@ bool write_all(int fd, const char* data, std::size_t len) {
 
 }  // namespace
 
-Server::Server(ServerOptions opts) : opts_(std::move(opts)) {
+Server::Server(ServerOptions opts)
+    : opts_(std::move(opts)),
+      probes0_(cache_counter_sum(/*computes=*/false)),
+      computes0_(cache_counter_sum(/*computes=*/true)),
+      evictions0_(obs::metrics().counter(obs::kCacheEvictCount).value()) {
   pool_ = std::make_unique<support::TaskPool>(
       support::resolve_jobs(opts_.jobs), opts_.queue_limit);
   eval::ArtifactCache& cache = eval::artifact_cache();
@@ -260,8 +264,13 @@ json::Value Server::run_verb(const Request& req) {
 
 json::Value Server::stats_result() {
   eval::ArtifactCache& cache = eval::artifact_cache();
-  const std::uint64_t probes = cache_counter_sum(/*computes=*/false);
-  const std::uint64_t computes = cache_counter_sum(/*computes=*/true);
+  // Cache traffic since this server was constructed (the counters are
+  // process-wide; an earlier server in the process must not show here).
+  const std::uint64_t probes = cache_counter_sum(/*computes=*/false) - probes0_;
+  const std::uint64_t computes =
+      cache_counter_sum(/*computes=*/true) - computes0_;
+  const std::uint64_t evictions =
+      obs::metrics().counter(obs::kCacheEvictCount).value() - evictions0_;
 
   json::Object server;
   server.set("jobs", json::Value(pool_->size()));
@@ -297,6 +306,8 @@ json::Value Server::stats_result() {
   cache_obj.set("computes", json::Value(static_cast<std::int64_t>(computes)));
   cache_obj.set("hits",
                 json::Value(static_cast<std::int64_t>(probes - computes)));
+  cache_obj.set("evictions",
+                json::Value(static_cast<std::int64_t>(evictions)));
 
   json::Object o;
   o.set("server", json::Value(std::move(server)));

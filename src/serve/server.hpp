@@ -117,6 +117,11 @@ class Server {
   void unregister_active_tick(std::uint64_t tick);
 
   ServerOptions opts_;
+  // Process-wide cache counters at construction: the stats verb reports
+  // this server's own cache traffic as the difference.
+  std::uint64_t probes0_;
+  std::uint64_t computes0_;
+  std::uint64_t evictions0_;
   std::unique_ptr<support::TaskPool> pool_;
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<bool> drained_{false};

@@ -249,6 +249,22 @@ class OnceMap {
     return *cell->value;
   }
 
+  /// The completed value for `key`, or nullptr when the key is absent or
+  /// its compute is still in flight. Never inserts and never waits for a
+  /// compute; the pointer stays valid under the same rules as a reference
+  /// returned by get_or_compute.
+  [[nodiscard]] const Value* find(std::uint64_t key) const {
+    std::shared_ptr<Cell> cell;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const auto it = cells_.find(key);
+      if (it == cells_.end()) return nullptr;
+      cell = it->second;
+    }
+    std::lock_guard<std::mutex> cell_lock(cell->mu);
+    return cell->value.has_value() ? &*cell->value : nullptr;
+  }
+
   /// Number of keys ever requested (including in-progress computes).
   [[nodiscard]] std::size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);

@@ -1,13 +1,17 @@
 // Observability layer tests: span nesting across pool threads, byte-
 // stable metrics snapshots across job counts, Chrome trace JSON shape,
 // the allocation-free disabled mode, and the artifact-cache snapshot
-// persistence (including the cache.corrupt structured warning).
+// persistence (including the cache.corrupt structured warning). The
+// ObsCli tests drive the built `drbml` binary: its explore trace must be
+// strict JSON with live span details, and its schedule counters must
+// account for every explored schedule.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <new>
+#include <sys/wait.h>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,9 +19,12 @@
 #include <gtest/gtest.h>
 
 #include "drb/corpus.hpp"
+#include "drb/synth.hpp"
 #include "eval/artifact_cache.hpp"
+#include "explore/explore.hpp"
 #include "obs/catalog.hpp"
 #include "obs/obs.hpp"
+#include "support/error.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 
@@ -40,6 +47,19 @@ void* operator new[](std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
+}
+
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must
+// come from the same malloc as the rest, or AddressSanitizer reports the
+// replaced delete's free() as an allocation/deallocation mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
@@ -224,6 +244,123 @@ TEST(ObsSpan, DisabledModeIsAllocationFree) {
   }
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after, before);
+}
+
+#ifndef DRBML_CLI
+#error "DRBML_CLI must name the built drbml binary"
+#endif
+
+/// Runs the drbml CLI with `args` (stdout discarded); returns its exit
+/// status.
+int run_cli(const std::string& args) {
+  const std::string cmd =
+      std::string("\"") + DRBML_CLI + "\" " + args + " >/dev/null";
+  const int status = std::system(cmd.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(file)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Strict UTF-8 check (no overlongs, surrogates or code points past
+/// U+10FFFF): a dangling span detail shows up as stray high bytes.
+bool valid_utf8(const std::string& s) {
+  std::size_t i = 0;
+  while (i < s.size()) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    std::size_t len = 0;
+    std::uint32_t cp = 0;
+    if (c < 0x80) {
+      ++i;
+      continue;
+    } else if ((c & 0xE0) == 0xC0) {
+      len = 2;
+      cp = c & 0x1F;
+    } else if ((c & 0xF0) == 0xE0) {
+      len = 3;
+      cp = c & 0x0F;
+    } else if ((c & 0xF8) == 0xF0) {
+      len = 4;
+      cp = c & 0x07;
+    } else {
+      return false;
+    }
+    if (i + len > s.size()) return false;
+    for (std::size_t k = 1; k < len; ++k) {
+      const auto cc = static_cast<unsigned char>(s[i + k]);
+      if ((cc & 0xC0) != 0x80) return false;
+      cp = (cp << 6) | (cc & 0x3F);
+    }
+    const std::uint32_t min = len == 2 ? 0x80 : len == 3 ? 0x800 : 0x10000;
+    if (cp < min || cp > 0x10FFFF || (cp >= 0xD800 && cp <= 0xDFFF)) {
+      return false;
+    }
+    i += len;
+  }
+  return true;
+}
+
+TEST(ObsCli, ExploreCorpusTraceIsStrictJson) {
+  const std::string path = testing::TempDir() + "obs_explore_trace.json";
+  ASSERT_EQ(run_cli("explore --corpus --jobs 2 --trace " + path), 1);
+  const std::string text = read_text(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(valid_utf8(text)) << "trace is not valid UTF-8";
+  const json::Value doc = json::parse(text);
+  int schedules = 0;
+  for (const json::Value& v : doc.as_object().at("traceEvents").as_array()) {
+    const json::Object& e = v.as_object();
+    if (e.at("name").as_string() != "explore.schedule") continue;
+    ++schedules;
+    // The detail is the schedule index: it must have outlived the span.
+    const std::string& detail =
+        e.at("args").as_object().at("detail").as_string();
+    ASSERT_FALSE(detail.empty());
+    EXPECT_EQ(detail.find_first_not_of("0123456789"), std::string::npos)
+        << "explore.schedule detail '" << detail << "'";
+  }
+  EXPECT_GT(schedules, 0);
+}
+
+TEST(ObsCli, ExploreMetricsCountEveryScheduleStep) {
+  // Synthesized kernels (racy and race-free) keep the run short under the
+  // sanitizer stages.
+  constexpr int kKernels = 40;
+  constexpr std::uint64_t kSeed = 5;
+  const std::string path = testing::TempDir() + "obs_explore_metrics.json";
+  ASSERT_EQ(run_cli("explore --synth " + std::to_string(kKernels) +
+                    " --synth-seed " + std::to_string(kSeed) +
+                    " --no-minimize --jobs 2 --metrics " + path),
+            1);
+  const json::Value doc = json::parse(read_text(path));
+  std::filesystem::remove(path);
+  const json::Object& m = doc.as_object().at("metrics").as_object();
+  const auto value = [&](const char* name) {
+    return m.at(name).as_object().at("value").as_int();
+  };
+
+  // The same exploration in process: every schedule's steps, summed.
+  explore::ExploreOptions opts;
+  opts.minimize = false;
+  std::int64_t steps = 0;
+  std::int64_t schedules = 0;
+  drb::SynthConfig config;
+  config.count = kKernels;
+  config.seed = kSeed;
+  for (const drb::SynthEntry& k : drb::synthesize(config)) {
+    const explore::ExploreResult r = explore::explore_source(k.code, opts);
+    for (const explore::ScheduleStats& s : r.schedules) {
+      steps += static_cast<std::int64_t>(s.steps);
+    }
+    schedules += r.schedules_run;
+  }
+  EXPECT_EQ(value("explore.schedules"), schedules);
+  EXPECT_EQ(value("interp.replays"), schedules);
+  EXPECT_EQ(value("sched.steps"), steps);
+  EXPECT_GT(steps, 0);
 }
 
 TEST(ObsFlags, ConsumeObsFlagsStripsOnlyItsFlags) {

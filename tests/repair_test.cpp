@@ -183,8 +183,8 @@ TEST(PatchEngine, LineMapTracksInsertions) {
 }
 
 TEST(Candidates, RankingIsDeterministic) {
-  minic::Program prog1 = minic::parse_program(kReductionKernel);
-  minic::Program prog2 = minic::parse_program(kReductionKernel);
+  const analysis::FrontEnd prog1(kReductionKernel);
+  const analysis::FrontEnd prog2(kReductionKernel);
   const analysis::RaceReport races =
       analysis::StaticRaceDetector().analyze_source(kReductionKernel);
   const lint::LintReport lint = lint::Linter().lint_source(kReductionKernel);

@@ -256,6 +256,33 @@ TEST(ServeProtocol, StatsReportsInstanceAccounting) {
   EXPECT_GE(cache.at("probes").as_int(), 1);
 }
 
+TEST(ServeProtocol, StatsCacheTrafficIsPerServer) {
+  const auto cache_stats = [](Server& server) {
+    const json::Value r = parse_response(
+        server.handle_line("{\"id\":\"st\",\"verb\":\"stats\"}"));
+    return r.as_object().at("result").as_object().at("cache").as_object();
+  };
+  {
+    Server first(small_server());
+    (void)first.handle_line(request_line("a1", "lint", kRacyCode));
+    (void)first.handle_line(request_line("a2", "lint", kRacyCode));
+    EXPECT_GE(cache_stats(first).at("probes").as_int(), 2);
+  }
+  // The second server shares the process (and the process-wide cache
+  // counters) but reports only its own traffic.
+  Server second(small_server());
+  const json::Object fresh = cache_stats(second);
+  EXPECT_EQ(fresh.at("probes").as_int(), 0);
+  EXPECT_EQ(fresh.at("computes").as_int(), 0);
+  EXPECT_EQ(fresh.at("hits").as_int(), 0);
+  EXPECT_EQ(fresh.at("evictions").as_int(), 0);
+  (void)second.handle_line(request_line("b1", "lint", kRacyCode));
+  const json::Object after = cache_stats(second);
+  EXPECT_GE(after.at("probes").as_int(), 1);
+  EXPECT_EQ(after.at("hits").as_int(),
+            after.at("probes").as_int() - after.at("computes").as_int());
+}
+
 TEST(ServeProtocol, EntryResolvesCorpusPrograms) {
   Server server(small_server());
   const json::Value r = parse_response(server.handle_line(

@@ -7,9 +7,11 @@
 //                                           markers) in FILE
 //   gen_obs_docs --check [FILE]             exit 1 if the generated sections
 //                                           are stale (the docs gate)
-//   gen_obs_docs --check-links FILE...      exit 1 on broken relative links
-//                                           or missing #anchors in the given
-//                                           markdown files
+//   gen_obs_docs --check-links FILE...      exit 1 on broken relative links,
+//                                           missing #anchors, or backticked
+//                                           repository paths that do not
+//                                           exist in the given markdown files
+//                                           (run from the repository root)
 //
 // FILE defaults to docs/OBSERVABILITY.md. The generated sections are
 // rendered from the same obs::SpanDesc/obs::MetricDesc instances the
@@ -196,12 +198,71 @@ std::vector<Link> collect_links(const std::string& text) {
   return links;
 }
 
+/// Extracts inline code spans that name a repository path: no spaces, no
+/// glob or placeholder characters, and a first component that is a
+/// directory at the repository root (`src/...`, `tests/...`). Build
+/// output directories and dot-directories are not checked. A trailing
+/// `:line` or `:line-line` suffix is dropped.
+std::vector<Link> collect_repo_paths(const std::string& text,
+                                     const fs::path& root) {
+  std::vector<Link> paths;
+  std::istringstream lines(text);
+  std::string line;
+  int lineno = 0;
+  bool in_fence = false;
+  while (std::getline(lines, line)) {
+    ++lineno;
+    if (line.rfind("```", 0) == 0) {
+      in_fence = !in_fence;
+      continue;
+    }
+    if (in_fence) continue;
+    std::size_t open = line.find('`');
+    while (open != std::string::npos) {
+      const std::size_t close = line.find('`', open + 1);
+      if (close == std::string::npos) break;
+      std::string span = line.substr(open + 1, close - open - 1);
+      open = line.find('`', close + 1);
+      const std::size_t slash = span.find('/');
+      if (slash == std::string::npos || slash == 0 ||
+          span.find_first_of(" *{}<>|$") != std::string::npos) {
+        continue;
+      }
+      const std::string first = span.substr(0, slash);
+      if (first[0] == '.' || first.rfind("build", 0) == 0 ||
+          !fs::is_directory(root / first)) {
+        continue;
+      }
+      if (const std::size_t colon = span.find(':');
+          colon != std::string::npos) {
+        span.resize(colon);
+      }
+      paths.push_back({span, lineno});
+    }
+  }
+  return paths;
+}
+
+/// True when `p` names a file or directory, or the stem of a source file
+/// (`bench/bench_table2` for the bench_table2 target, `src/llm/finetune`
+/// for the finetune module).
+bool repo_path_exists(const fs::path& p) {
+  if (fs::exists(p)) return true;
+  for (const char* ext : {".cpp", ".hpp", ".inc"}) {
+    if (fs::exists(fs::path(p).concat(ext))) return true;
+  }
+  return false;
+}
+
 bool is_external(const std::string& target) {
   return target.rfind("http://", 0) == 0 || target.rfind("https://", 0) == 0 ||
          target.rfind("mailto:", 0) == 0;
 }
 
 int check_links(const std::vector<std::string>& paths) {
+  // Backticked repository paths resolve against the working directory,
+  // which must be the repository root (scripts/check.sh runs from it).
+  const fs::path root = fs::current_path();
   int broken = 0;
   for (const std::string& path : paths) {
     std::string text;
@@ -210,6 +271,13 @@ int check_links(const std::vector<std::string>& paths) {
       return 2;
     }
     const fs::path dir = fs::path(path).parent_path();
+    for (const Link& p : collect_repo_paths(text, root)) {
+      if (!repo_path_exists(root / p.target)) {
+        std::fprintf(stderr, "%s:%d: stale path `%s` (no such file)\n",
+                     path.c_str(), p.line, p.target.c_str());
+        ++broken;
+      }
+    }
     const std::set<std::string> own_anchors = collect_anchors(text);
     for (const Link& link : collect_links(text)) {
       if (is_external(link.target) || link.target.empty()) continue;
